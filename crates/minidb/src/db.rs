@@ -344,7 +344,7 @@ impl Database {
             (work, latest.privileges.clone(), records)
         } else {
             let merged = mvcc::validate(&ws, base.ts, &latest)
-                .and_then(|()| mvcc::merge(&latest, &ws, &records));
+                .and_then(|()| mvcc::merge(&latest, &ws, records));
             match merged {
                 Ok(m) => (m.state, m.privileges, m.records),
                 Err(e) => {

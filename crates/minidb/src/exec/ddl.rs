@@ -11,10 +11,10 @@ use crate::txn::UndoOp;
 use crate::value::Value;
 use sqlkit::ast::{AlterTable, CreateIndex, CreateTable, TableConstraint};
 
-/// (Re)build the automatic indexes a table schema implies: unique ordered
-/// indexes backing the primary key (`__pk`), single-column UNIQUEs
+/// (Re)build the automatic indexes a table schema implies: unique indexes
+/// backing the primary key (`__pk`), single-column UNIQUEs
 /// (`__unique_{col}`), and table UNIQUEs (`__uniques_{i}`), plus non-unique
-/// *hash* indexes over each foreign key's local columns (`__fk_{i}`) so FK
+/// indexes over each foreign key's local columns (`__fk_{i}`) so FK
 /// validation and FK-keyed equality predicates probe instead of scanning.
 /// Shared by CREATE TABLE and the ALTER TABLE DROP COLUMN rebuild so the
 /// two can never drift.
@@ -36,13 +36,8 @@ pub(crate) fn build_auto_indexes(schema: &TableSchema, data: &mut TableData) -> 
     }
     for (i, fk) in schema.foreign_keys.iter().enumerate() {
         let positions = schema.resolve_columns(&fk.columns)?;
-        data.build_index_kind(
-            &format!("__fk_{i}"),
-            positions,
-            false,
-            crate::storage::IndexKind::Hash,
-        )
-        .map_err(DbError::ConstraintViolation)?;
+        data.build_index(&format!("__fk_{i}"), positions, false)
+            .map_err(DbError::ConstraintViolation)?;
     }
     Ok(())
 }
@@ -277,7 +272,7 @@ pub(super) fn execute_create_index(
         columns: ci.columns.clone(),
         unique: ci.unique,
     };
-    data.build_index_kind(&ci.name, positions, ci.unique, def.kind())
+    data.build_index(&ci.name, positions, ci.unique)
         .map_err(DbError::ConstraintViolation)?;
     state.catalog.table_mut(&ci.table)?.indexes.push(def);
     undo.push(UndoOp::CreateIndex {
@@ -376,7 +371,7 @@ pub(super) fn execute_alter(
             for idx in &schema.indexes {
                 let positions = schema.resolve_columns(&idx.columns)?;
                 rebuilt
-                    .build_index_kind(&idx.name, positions, idx.unique, idx.kind())
+                    .build_index(&idx.name, positions, idx.unique)
                     .map_err(DbError::ConstraintViolation)?;
             }
             *data = rebuilt;

@@ -28,12 +28,11 @@
 use crate::error::{DbError, DbResult};
 use crate::exec::{self, DbState};
 use crate::privilege::PrivilegeCatalog;
-use crate::storage::{wal, RowId, WalRecord};
+use crate::storage::{wal, PagedVec, RowId, WalRecord};
 use crate::txn::UndoOp;
 use crate::value::{Row, Value};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Commit timestamp: a monotonically increasing logical clock value.
 pub type Ts = u64;
@@ -68,9 +67,10 @@ pub struct TableClock {
     pub any_ts: Ts,
     /// Commit ts of the last schema change (CREATE/ALTER/index DDL).
     pub schema_ts: Ts,
-    /// Per-row last-writer commit timestamps, indexed by `RowId`. Behind an
-    /// `Arc` so cloning the clock map per commit shares untouched tables.
-    rows: Arc<Vec<Ts>>,
+    /// Per-row last-writer commit timestamps, indexed by `RowId`. Paged
+    /// copy-on-write, so each commit's clone of the clock map unshares only
+    /// the pages holding rows it stamps.
+    rows: PagedVec<Ts>,
 }
 
 impl TableClock {
@@ -81,11 +81,8 @@ impl TableClock {
     }
 
     fn stamp_row(&mut self, rid: RowId, ts: Ts) {
-        let rows = Arc::make_mut(&mut self.rows);
-        if rows.len() <= rid {
-            rows.resize(rid + 1, 0);
-        }
-        rows[rid] = ts;
+        self.rows.grow_to(rid + 1, 0);
+        *self.rows.get_mut(rid).expect("grown above") = ts;
     }
 }
 
@@ -278,14 +275,14 @@ pub struct MergeOutcome {
 pub fn merge(
     latest: &CommittedVersion,
     ws: &WriteSet,
-    records: &[WalRecord],
+    records: Vec<WalRecord>,
 ) -> DbResult<MergeOutcome> {
     let mut state = latest.state.clone();
     let mut privileges = latest.privileges.clone();
     let mut remap: HashMap<(String, RowId), RowId> = HashMap::new();
     let mut out = Vec::with_capacity(records.len());
     for rec in records {
-        let rec = match rec.clone() {
+        let rec = match rec {
             WalRecord::RowInsert { table, rid, row } => {
                 let data = state
                     .data
@@ -509,6 +506,7 @@ mod tests {
     use super::*;
     use crate::exec::execute;
     use sqlkit::parse_statement;
+    use std::sync::Arc;
 
     fn run(state: &mut DbState, sql: &str, undo: &mut Vec<UndoOp>) {
         execute(state, &parse_statement(sql).unwrap(), undo).unwrap();
@@ -649,7 +647,7 @@ mod tests {
             (write_set(&undo), records)
         };
         validate(&ws, 1, &latest_version).unwrap();
-        let outcome = merge(&latest_version, &ws, &records).unwrap();
+        let outcome = merge(&latest_version, &ws, records).unwrap();
         assert_eq!(outcome.state.data["t"].len(), 4, "both inserts survive");
         // The merged insert landed on a fresh rid, reflected in the records.
         match &outcome.records[0] {
@@ -677,7 +675,7 @@ mod tests {
         // Row-level validation passes (disjoint rows)…
         validate(&ws, 1, &latest_version).unwrap();
         // …but the unique re-check on the merged state catches the dup PK.
-        let err = merge(&latest_version, &ws, &records).unwrap_err();
+        let err = merge(&latest_version, &ws, records).unwrap_err();
         assert!(err.is_serialization_conflict(), "{err}");
     }
 
@@ -697,5 +695,68 @@ mod tests {
         assert_eq!(clocks["t"].schema_ts, 0, "no DDL on t");
         assert_eq!(clocks["u"].schema_ts, 4);
         assert_eq!(catalog_ts, 4, "CREATE TABLE moved the catalog clock");
+    }
+
+    /// A one-row UPDATE plus an INSERT on a 100k-row table publishes a
+    /// version sharing all but a constant number of row pages, index
+    /// shards and clock pages with its predecessor; a fork's writes never
+    /// reach the template.
+    #[test]
+    fn commit_shares_all_but_written_pages_and_shards() {
+        let db = crate::Database::new();
+        let mut s = db.session("admin").unwrap();
+        s.execute_sql("CREATE TABLE big (id INTEGER PRIMARY KEY, v INTEGER)")
+            .unwrap();
+        for chunk in 0..100 {
+            let rows: Vec<String> = (0..1000)
+                .map(|i| format!("({}, 0)", chunk * 1000 + i))
+                .collect();
+            s.execute_sql(&format!("INSERT INTO big VALUES {}", rows.join(", ")))
+                .unwrap();
+        }
+        let before = db.snapshot();
+        for sql in [
+            "BEGIN",
+            "UPDATE big SET v = 1 WHERE id = 54321",
+            "INSERT INTO big VALUES (100000, 7)",
+            "COMMIT",
+        ] {
+            s.execute_sql(sql).unwrap();
+        }
+        let after = db.snapshot();
+        let (pages, shards) = after.state.data["big"].sharing_with(&before.state.data["big"]);
+        assert!(pages.1 > 1500 && shards.1 > 1000, "{pages:?} {shards:?}");
+        assert_eq!(pages.1 - pages.0, 2, "updated page + tail page");
+        assert_eq!(shards.1 - shards.0, 1, "PK shard of the inserted key");
+        let clocks = after.clocks["big"]
+            .rows
+            .shared_pages(&before.clocks["big"].rows);
+        assert_eq!(
+            clocks.1 - clocks.0,
+            2,
+            "clock pages of the two written rows"
+        );
+
+        let fork = db.fork();
+        let mut f = fork.session("admin").unwrap();
+        f.execute_sql("UPDATE big SET v = 9 WHERE id < 3").unwrap();
+        f.execute_sql("DELETE FROM big WHERE id = 99999").unwrap();
+        f.execute_sql("INSERT INTO big VALUES (100001, 9)").unwrap();
+        let template = db.snapshot();
+        assert!(
+            Arc::ptr_eq(&template, &after),
+            "template got no new version"
+        );
+        let big = &template.state.data["big"];
+        assert_eq!(big.len(), 100_001);
+        assert_eq!(big.get(0), Some(&vec![Value::Int(0), Value::Int(0)]));
+        assert_eq!(
+            big.get(99_999),
+            Some(&vec![Value::Int(99_999), Value::Int(0)])
+        );
+        assert!(big.indexes["__pk"]
+            .lookup(&crate::value::Key(vec![Value::Int(100_001)]))
+            .is_empty());
+        assert_eq!(fork.snapshot().state.data["big"].len(), 100_001);
     }
 }

@@ -30,7 +30,7 @@
 
 use crate::expr::{conjuncts, literal_value, try_resolve, ScopeCol};
 use crate::schema::TableSchema;
-use crate::storage::{IndexData, IndexKind, TableData};
+use crate::storage::{IndexData, TableData};
 use crate::value::{Key, Value};
 use sqlkit::ast::{BinaryOp, Expr};
 use std::collections::BTreeMap;
@@ -331,8 +331,8 @@ pub fn equality_bindings(
 }
 
 /// Pick the best index fully pinned by `pinned` and build its probe key.
-/// Preference order: unique before non-unique (fewer candidates), hash
-/// before ordered (O(1) probe), then name for determinism.
+/// Preference order: unique before non-unique (fewer candidates), then
+/// name for determinism.
 pub fn choose_index<'a>(
     data: &'a TableData,
     pinned: &BTreeMap<usize, Value>,
@@ -342,9 +342,8 @@ pub fn choose_index<'a>(
         if idx.columns.is_empty() || !idx.columns.iter().all(|c| pinned.contains_key(c)) {
             continue;
         }
-        let rank = |i: &IndexData| (!i.unique, i.kind() == IndexKind::Ordered);
         match best {
-            Some((_, current)) if rank(current) <= rank(idx) => {}
+            Some((_, current)) if current.unique || !idx.unique => {}
             _ => best = Some((name, idx)),
         }
     }

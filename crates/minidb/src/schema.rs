@@ -42,22 +42,6 @@ pub struct IndexDef {
     pub unique: bool,
 }
 
-impl IndexDef {
-    /// Physical representation this definition materializes as: unique
-    /// (constraint-backing) indexes stay ordered, plain secondary indexes
-    /// are hash maps — the executor only ever probes them with equality
-    /// keys, and an O(1) probe beats a tree walk. The mapping is a pure
-    /// function of the definition so index rebuilds (e.g. after ALTER TABLE
-    /// DROP COLUMN) always reproduce the same physical kind.
-    pub fn kind(&self) -> crate::storage::IndexKind {
-        if self.unique {
-            crate::storage::IndexKind::Ordered
-        } else {
-            crate::storage::IndexKind::Hash
-        }
-    }
-}
-
 /// Schema of one table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TableSchema {

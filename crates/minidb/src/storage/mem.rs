@@ -1,19 +1,33 @@
-//! Row storage and secondary indexes (ordered and hash).
+//! Row storage and secondary indexes, copy-on-write per page.
 //!
-//! Rows live in a slotted vector with tombstones so a `RowId` stays stable
-//! for the lifetime of the row — the transaction undo log addresses rows by
-//! id. Indexes come in two physical shapes behind one interface: ordered
-//! maps (B-tree) used for uniqueness enforcement, and hash maps used by the
-//! executor's fast path for equality probes and hash joins. Both map a key
-//! tuple to the set of row ids carrying that key and are maintained by every
+//! Rows live in slots with tombstones so a `RowId` stays stable for the
+//! lifetime of the row — the transaction undo log addresses rows by id.
+//! The slots sit in a [`PagedVec`]: `Arc`-shared pages of
+//! [`PAGE_SLOTS`](super::paged::PAGE_SLOTS) rows. Every index has one
+//! physical shape: a hash map from key tuple to the sorted row ids carrying
+//! that key, split into `Arc`-shared shards chosen by the key's hash (the
+//! shard count doubles to keep at most [`SHARD_KEYS`] keys per shard on
+//! average). Indexes are only ever probed
+//! with equality keys — uniqueness checks, point lookups, FK probes — so
+//! nothing needs key order. They are maintained by every
 //! `insert`/`update`/`delete`/`restore`, which is what makes them
 //! transactionally consistent: the undo log replays through those same
 //! operations on rollback.
+//!
+//! Cost model of a write to a shared (snapshotted) table: copying the
+//! table's page- and shard-pointer vectors (O(rows / `PAGE_SLOTS`) refcount
+//! bumps) plus one `PAGE_SLOTS`-row page per written slot and one shard
+//! per changed index key — not the whole table.
 
+use super::paged::PagedVec;
 use crate::value::{Key, Row, Value};
+use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
+
+/// Average keys per index shard above which an index doubles its shards.
+pub const SHARD_KEYS: usize = 64;
 
 /// Stable identifier of a row within one table.
 pub type RowId = usize;
@@ -23,10 +37,12 @@ pub type RowId = usize;
 /// Each table sits behind an `Arc`, so cloning a whole `DbState` — an MVCC
 /// snapshot or a transaction's private workspace — costs one pointer bump
 /// per table instead of a deep copy. The first mutation of a table inside a
-/// clone copies just that table (`Arc::make_mut`); untouched tables stay
-/// shared with every snapshot holding them. The API mirrors the
-/// `BTreeMap<String, TableData>` it replaced, so the executor and the undo
-/// log are oblivious to the sharing.
+/// clone unshares just that table's header (`Arc::make_mut`): its page and
+/// shard pointer vectors, while the row pages and index shards themselves
+/// stay shared until written (see the module docs for the cost model).
+/// Untouched tables stay shared whole with every snapshot holding them.
+/// The API mirrors the `BTreeMap<String, TableData>` it replaced, so the
+/// executor and the undo log are oblivious to the sharing.
 #[derive(Debug, Clone, Default)]
 pub struct DataMap {
     tables: BTreeMap<String, Arc<TableData>>,
@@ -81,22 +97,12 @@ impl std::ops::Index<&str> for DataMap {
     }
 }
 
-/// Physical representation of an index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IndexKind {
-    /// B-tree keyed by [`Key`]'s total order. Used for constraint indexes.
-    Ordered,
-    /// Hash table keyed by a hash consistent with [`Key`]'s total order.
-    /// Used for equality probes; O(1) point lookups.
-    Hash,
-}
-
 /// Key wrapper whose equality and hash follow `Key`'s *total order* rather
-/// than the derived `PartialEq`. This matters for cross-type numerics: the
-/// ordered index finds `Float(1.0)` entries when probed with `Int(1)`
-/// (because `total_cmp` treats them as equal), so the hash index must
-/// collide and equate them too — numeric values hash through their `f64`
-/// image with `-0.0` and NaN canonicalised.
+/// than the derived `PartialEq`. This matters for cross-type numerics: an
+/// index probe with `Int(1)` must find `Float(1.0)` entries (`total_cmp`
+/// treats them as equal, as do sorting and grouping), so they must collide
+/// and compare equal — numeric values hash through their `f64` image with
+/// `-0.0` and NaN canonicalised.
 #[derive(Debug, Clone)]
 pub struct HashedKey(pub Key);
 
@@ -156,7 +162,7 @@ fn canonical_f64_bits(f: f64) -> u64 {
 /// backing index keys says `-0.0 < 0.0` — left as-is, a stored `-0.0` row
 /// would be invisible to an index probe for `0`, and index prefilters must
 /// never *under*-include. Collapsing `-0.0` to `0.0` at every IndexData
-/// entry point closes the gap for both index kinds. The hash-join operator
+/// entry point closes the gap. The hash-join operator
 /// canonicalizes its build/probe keys the same way.
 pub fn canonical_key(mut key: Key) -> Key {
     for v in &mut key.0 {
@@ -169,21 +175,22 @@ pub fn canonical_key(mut key: Key) -> Key {
     key
 }
 
-#[derive(Debug, Clone)]
-enum Entries {
-    Ordered(BTreeMap<Key, BTreeSet<RowId>>),
-    Hash(HashMap<HashedKey, BTreeSet<RowId>>),
-}
+/// One shard of an index: key → sorted row ids.
+type Shard = HashMap<HashedKey, Vec<RowId>>;
 
-/// Index payload: a map from key tuple to the set of rows with that key,
-/// physically ordered or hashed (see [`IndexKind`]).
+/// Index payload: a map from key tuple to the sorted ids of the rows with
+/// that key, split into `Arc`-shared shards by key hash so a write unshares
+/// only the shard its key lands in.
 #[derive(Debug, Clone)]
 pub struct IndexData {
     /// Positions (into the table schema) of the indexed columns.
     pub columns: Vec<usize>,
     /// Whether duplicate keys are rejected.
     pub unique: bool,
-    entries: Entries,
+    /// Power-of-two many shards; a key lives in `shard_index(key)`.
+    shards: Vec<Arc<Shard>>,
+    /// Number of distinct keys across all shards.
+    keys: usize,
 }
 
 impl Default for IndexData {
@@ -192,30 +199,23 @@ impl Default for IndexData {
     }
 }
 
-impl IndexData {
-    /// New empty ordered index over the given column positions.
-    pub fn new(columns: Vec<usize>, unique: bool) -> Self {
-        IndexData::with_kind(columns, unique, IndexKind::Ordered)
-    }
+/// Shard of `key` among `count` (a power of two) shards. `DefaultHasher`
+/// with its fixed keys, so placement is deterministic; the shards' own
+/// maps hash with independent random keys.
+fn shard_index(key: &HashedKey, count: usize) -> usize {
+    let mut hasher = DefaultHasher::new();
+    key.hash(&mut hasher);
+    hasher.finish() as usize & (count - 1)
+}
 
-    /// New empty index with an explicit physical representation.
-    pub fn with_kind(columns: Vec<usize>, unique: bool, kind: IndexKind) -> Self {
-        let entries = match kind {
-            IndexKind::Ordered => Entries::Ordered(BTreeMap::new()),
-            IndexKind::Hash => Entries::Hash(HashMap::new()),
-        };
+impl IndexData {
+    /// New empty index over the given column positions.
+    pub fn new(columns: Vec<usize>, unique: bool) -> Self {
         IndexData {
             columns,
             unique,
-            entries,
-        }
-    }
-
-    /// This index's physical representation.
-    pub fn kind(&self) -> IndexKind {
-        match &self.entries {
-            Entries::Ordered(_) => IndexKind::Ordered,
-            Entries::Hash(_) => IndexKind::Hash,
+            shards: vec![Arc::default()],
+            keys: 0,
         }
     }
 
@@ -224,98 +224,98 @@ impl IndexData {
         canonical_key(Key(self.columns.iter().map(|&i| row[i].clone()).collect()))
     }
 
+    fn rids(&self, key: &Key) -> Option<&Vec<RowId>> {
+        let key = HashedKey(canonical_key(key.clone()));
+        self.shards[shard_index(&key, self.shards.len())].get(&key)
+    }
+
     /// Whether inserting `key` would violate uniqueness. NULL-containing
     /// keys never conflict (SQL UNIQUE semantics).
     pub fn would_conflict(&self, key: &Key, ignore: Option<RowId>) -> bool {
         if !self.unique || key.0.iter().any(Value::is_null) {
             return false;
         }
-        let key = canonical_key(key.clone());
-        let set = match &self.entries {
-            Entries::Ordered(map) => map.get(&key),
-            Entries::Hash(map) => map.get(&HashedKey(key)),
-        };
-        match set {
-            None => false,
-            Some(set) => set.iter().any(|&rid| Some(rid) != ignore),
-        }
+        self.rids(key)
+            .is_some_and(|rids| rids.iter().any(|&rid| Some(rid) != ignore))
     }
 
     /// Add a row under its key.
     pub fn insert(&mut self, key: Key, rid: RowId) {
-        let key = canonical_key(key);
-        match &mut self.entries {
-            Entries::Ordered(map) => {
-                map.entry(key).or_default().insert(rid);
+        let key = HashedKey(canonical_key(key));
+        let i = shard_index(&key, self.shards.len());
+        match Arc::make_mut(&mut self.shards[i]).entry(key) {
+            Entry::Occupied(mut e) => {
+                let rids = e.get_mut();
+                if let Err(pos) = rids.binary_search(&rid) {
+                    rids.insert(pos, rid);
+                }
             }
-            Entries::Hash(map) => {
-                map.entry(HashedKey(key)).or_default().insert(rid);
+            Entry::Vacant(e) => {
+                e.insert(vec![rid]);
+                self.keys += 1;
+                if self.keys > self.shards.len() * SHARD_KEYS {
+                    self.reshard(self.shards.len() * 2);
+                }
+            }
+        }
+    }
+
+    /// Redistribute every key over `count` fresh shards.
+    fn reshard(&mut self, count: usize) {
+        let fresh = (0..count).map(|_| Arc::default()).collect();
+        let old = std::mem::replace(&mut self.shards, fresh);
+        for shard in old {
+            let entries = Arc::try_unwrap(shard).unwrap_or_else(|shared| (*shared).clone());
+            for (key, rids) in entries {
+                let i = shard_index(&key, count);
+                Arc::make_mut(&mut self.shards[i]).insert(key, rids);
             }
         }
     }
 
     /// Remove a row from its key.
     pub fn remove(&mut self, key: &Key, rid: RowId) {
-        let key = canonical_key(key.clone());
-        match &mut self.entries {
-            Entries::Ordered(map) => {
-                if let Some(set) = map.get_mut(&key) {
-                    set.remove(&rid);
-                    if set.is_empty() {
-                        map.remove(&key);
-                    }
-                }
-            }
-            Entries::Hash(map) => {
-                let hashed = HashedKey(key);
-                if let Some(set) = map.get_mut(&hashed) {
-                    set.remove(&rid);
-                    if set.is_empty() {
-                        map.remove(&hashed);
-                    }
-                }
-            }
+        let key = HashedKey(canonical_key(key.clone()));
+        let i = shard_index(&key, self.shards.len());
+        // Probe the shared shard first: a miss must not unshare it.
+        let Some(pos) = self.shards[i]
+            .get(&key)
+            .and_then(|rids| rids.binary_search(&rid).ok())
+        else {
+            return;
+        };
+        let shard = Arc::make_mut(&mut self.shards[i]);
+        let rids = shard.get_mut(&key).expect("probed above");
+        rids.remove(pos);
+        if rids.is_empty() {
+            shard.remove(&key);
+            self.keys -= 1;
         }
     }
 
-    /// Row ids exactly matching a key.
+    /// Row ids exactly matching a key, ascending.
     pub fn lookup(&self, key: &Key) -> Vec<RowId> {
-        let key = canonical_key(key.clone());
-        let set = match &self.entries {
-            Entries::Ordered(map) => map.get(&key),
-            Entries::Hash(map) => map.get(&HashedKey(key)),
-        };
-        set.map(|s| s.iter().copied().collect()).unwrap_or_default()
+        self.rids(key).cloned().unwrap_or_default()
     }
 
     /// Number of distinct keys.
     pub fn distinct_keys(&self) -> usize {
-        match &self.entries {
-            Entries::Ordered(map) => map.len(),
-            Entries::Hash(map) => map.len(),
-        }
+        self.keys
     }
 
-    /// All `(key, row ids)` pairs, for consistency checking. Hash indexes
-    /// yield them in arbitrary order.
-    fn entry_pairs(&self) -> Vec<(Key, Vec<RowId>)> {
-        match &self.entries {
-            Entries::Ordered(map) => map
-                .iter()
-                .map(|(k, s)| (k.clone(), s.iter().copied().collect()))
-                .collect(),
-            Entries::Hash(map) => map
-                .iter()
-                .map(|(k, s)| (k.0.clone(), s.iter().copied().collect()))
-                .collect(),
-        }
+    /// All `(key, row ids)` pairs in arbitrary order, for consistency
+    /// checking.
+    fn entry_pairs(&self) -> impl Iterator<Item = (&Key, &Vec<RowId>)> {
+        self.shards
+            .iter()
+            .flat_map(|shard| shard.iter().map(|(k, rids)| (&k.0, rids)))
     }
 }
 
-/// Storage of one table: slotted rows plus named indexes.
+/// Storage of one table: paged row slots plus named indexes.
 #[derive(Debug, Clone, Default)]
 pub struct TableData {
-    slots: Vec<Option<Row>>,
+    slots: PagedVec<Option<Row>>,
     free: Vec<RowId>,
     live: usize,
     /// Secondary indexes by name.
@@ -341,22 +341,16 @@ impl TableData {
     /// Insert a row, maintaining all indexes. The row must already be
     /// validated (types, constraints) by the executor.
     pub fn insert(&mut self, row: Row) -> RowId {
-        let rid = match self.free.pop() {
-            Some(rid) => {
-                self.slots[rid] = Some(row);
-                rid
-            }
-            None => {
-                self.slots.push(Some(row));
-                self.slots.len() - 1
-            }
-        };
-        self.live += 1;
-        let row_ref = self.slots[rid].as_ref().expect("just inserted").clone();
+        let rid = self.free.pop().unwrap_or(self.slots.len());
         for idx in self.indexes.values_mut() {
-            let key = idx.key_of(&row_ref);
+            let key = idx.key_of(&row);
             idx.insert(key, rid);
         }
+        match self.slots.get_mut(rid) {
+            Some(slot) => *slot = Some(row),
+            None => self.slots.push(Some(row)),
+        }
+        self.live += 1;
         rid
     }
 
@@ -364,13 +358,8 @@ impl TableData {
     /// Panics if the slot is occupied — that would mean the undo log and the
     /// storage diverged.
     pub fn restore(&mut self, rid: RowId, row: Row) {
-        if rid >= self.slots.len() {
-            self.slots.resize(rid + 1, None);
-        }
-        assert!(
-            self.slots[rid].is_none(),
-            "restore into occupied slot {rid}"
-        );
+        self.slots.grow_to(rid + 1, None);
+        assert!(self.get(rid).is_none(), "restore into occupied slot {rid}");
         // The slot may sit in the free list; drop it from there lazily by
         // filtering on next allocation.
         self.free.retain(|&f| f != rid);
@@ -378,12 +367,13 @@ impl TableData {
             let key = idx.key_of(&row);
             idx.insert(key, rid);
         }
-        self.slots[rid] = Some(row);
+        *self.slots.get_mut(rid).expect("grown above") = Some(row);
         self.live += 1;
     }
 
     /// Delete a row by id, returning it.
     pub fn delete(&mut self, rid: RowId) -> Option<Row> {
+        self.get(rid)?;
         let row = self.slots.get_mut(rid)?.take()?;
         self.free.push(rid);
         self.live -= 1;
@@ -395,16 +385,19 @@ impl TableData {
     }
 
     /// Replace a row in place, maintaining indexes. Returns the old row.
+    /// Indexes whose key did not change are left untouched (and shared).
     pub fn update(&mut self, rid: RowId, new_row: Row) -> Option<Row> {
+        self.get(rid)?;
         let slot = self.slots.get_mut(rid)?;
-        let old = slot.take()?;
+        let old = slot.replace(new_row).expect("live row checked above");
+        let new_row = slot.as_ref().expect("just written");
         for idx in self.indexes.values_mut() {
-            let old_key = idx.key_of(&old);
-            idx.remove(&old_key, rid);
-            let new_key = idx.key_of(&new_row);
-            idx.insert(new_key, rid);
+            let (old_key, new_key) = (idx.key_of(&old), idx.key_of(new_row));
+            if old_key.cmp(&new_key).is_ne() {
+                idx.remove(&old_key, rid);
+                idx.insert(new_key, rid);
+            }
         }
-        *slot = Some(new_row);
         Some(old)
     }
 
@@ -430,9 +423,7 @@ impl TableData {
     /// persisted rows (recovery / ALTER replay). Extends the slot vector so
     /// every free id addresses a real (tombstoned) slot.
     pub fn set_free_list(&mut self, slot_count: usize, free: Vec<RowId>) {
-        if slot_count > self.slots.len() {
-            self.slots.resize(slot_count, None);
-        }
+        self.slots.grow_to(slot_count, None);
         self.free = free;
     }
 
@@ -458,18 +449,7 @@ impl TableData {
         columns: Vec<usize>,
         unique: bool,
     ) -> Result<(), String> {
-        self.build_index_kind(name, columns, unique, IndexKind::Ordered)
-    }
-
-    /// [`TableData::build_index`] with an explicit physical representation.
-    pub fn build_index_kind(
-        &mut self,
-        name: &str,
-        columns: Vec<usize>,
-        unique: bool,
-        kind: IndexKind,
-    ) -> Result<(), String> {
-        let mut idx = IndexData::with_kind(columns, unique, kind);
+        let mut idx = IndexData::new(columns, unique);
         for (rid, row) in self.iter() {
             let key = idx.key_of(row);
             if idx.would_conflict(&key, None) {
@@ -496,11 +476,19 @@ impl TableData {
             }
             let mut actual: BTreeMap<Key, BTreeSet<RowId>> = BTreeMap::new();
             for (key, rids) in idx.entry_pairs() {
-                // Fold through the *ordered* key comparison so hash and
-                // ordered indexes are checked against the same equivalence.
-                actual.entry(key).or_default().extend(rids);
+                // Fold through the ordered key comparison, so keys the hash
+                // equates must also be equal by `Key`'s total order.
+                actual.entry(key.clone()).or_default().extend(rids);
             }
-            if expected != actual {
+            // Keys compare by the total order, not the derived `==`: the two
+            // maps may hold different spellings of one key (`Int(1)` vs
+            // `Float(1.0)`), whichever row each saw first.
+            let same = expected.len() == actual.len()
+                && expected
+                    .iter()
+                    .zip(&actual)
+                    .all(|((ka, ra), (kb, rb))| ka.cmp(kb).is_eq() && ra == rb);
+            if !same || idx.keys != actual.len() {
                 return Err(format!(
                     "index \"{name}\" diverged from live rows: \
                      {} expected keys vs {} indexed keys",
@@ -510,6 +498,20 @@ impl TableData {
             }
         }
         Ok(())
+    }
+
+    /// `(pages shared, pages)` and `(shards shared, shards)` summed over
+    /// all indexes, against `other` by allocation identity at the same
+    /// position — the structural-sharing probe for copy-on-write tests.
+    #[cfg(test)]
+    pub(crate) fn sharing_with(&self, other: &TableData) -> ((usize, usize), (usize, usize)) {
+        let pairs = self.indexes.iter().filter_map(|(name, idx)| {
+            let theirs = other.indexes.get(name)?;
+            Some(idx.shards.iter().zip(&theirs.shards))
+        });
+        let shared = pairs.flatten().filter(|(a, b)| Arc::ptr_eq(a, b)).count();
+        let total = self.indexes.values().map(|idx| idx.shards.len()).sum();
+        (self.slots.shared_pages(&other.slots), (shared, total))
     }
 }
 
@@ -606,36 +608,28 @@ mod tests {
     }
 
     #[test]
-    fn hash_index_maintenance_matches_ordered() {
+    fn non_unique_index_keeps_sorted_rids_per_key() {
         let mut t = TableData::new();
-        t.build_index_kind("h", vec![0], false, IndexKind::Hash)
-            .unwrap();
-        t.build_index_kind("o", vec![0], false, IndexKind::Ordered)
-            .unwrap();
+        t.build_index("h", vec![0], false).unwrap();
         let a = t.insert(row(1, "a"));
         let b = t.insert(row(1, "b"));
         t.insert(row(2, "c"));
         let probe = Key(vec![Value::Int(1)]);
-        let mut h = t.indexes["h"].lookup(&probe);
-        let mut o = t.indexes["o"].lookup(&probe);
-        h.sort_unstable();
-        o.sort_unstable();
-        assert_eq!(h, o);
-        assert_eq!(h, vec![a, b]);
+        assert_eq!(t.indexes["h"].lookup(&probe), vec![a, b]);
         t.update(a, row(2, "a"));
         t.delete(b);
         assert_eq!(t.indexes["h"].lookup(&probe), Vec::<RowId>::new());
         assert_eq!(t.indexes["h"].lookup(&Key(vec![Value::Int(2)])).len(), 2);
+        assert_eq!(t.indexes["h"].distinct_keys(), 1);
         t.verify_index_consistency().unwrap();
     }
 
     #[test]
-    fn hash_index_probes_across_numeric_types() {
-        // total_cmp treats Int(1) and Float(1.0) as equal, so the ordered
-        // index finds float rows from an int probe; the hash index must too.
+    fn index_probes_across_numeric_types() {
+        // total_cmp treats Int(1) and Float(1.0) as equal, and -0.0 is
+        // canonicalized to 0.0, so a probe must find either spelling.
         let mut t = TableData::new();
-        t.build_index_kind("h", vec![0], false, IndexKind::Hash)
-            .unwrap();
+        t.build_index("h", vec![0], false).unwrap();
         let a = t.insert(vec![Value::Float(1.0), Value::Text("x".into())]);
         assert_eq!(t.indexes["h"].lookup(&Key(vec![Value::Int(1)])), vec![a]);
         let b = t.insert(vec![Value::Float(-0.0), Value::Text("z".into())]);
@@ -643,10 +637,26 @@ mod tests {
     }
 
     #[test]
+    fn index_reshards_as_keys_grow_and_stays_consistent() {
+        let mut t = TableData::new();
+        t.build_index("u", vec![0], true).unwrap();
+        let n = 10 * SHARD_KEYS as i64;
+        for i in 0..n {
+            t.insert(row(i, "r"));
+        }
+        let idx = &t.indexes["u"];
+        assert!(idx.shards.len() >= 8, "{} shards", idx.shards.len());
+        assert_eq!(idx.distinct_keys(), n as usize);
+        for i in 0..n {
+            assert_eq!(idx.lookup(&Key(vec![Value::Int(i)])), vec![i as RowId]);
+        }
+        t.verify_index_consistency().unwrap();
+    }
+
+    #[test]
     fn consistency_check_catches_divergence() {
         let mut t = TableData::new();
-        t.build_index_kind("h", vec![0], false, IndexKind::Hash)
-            .unwrap();
+        t.build_index("h", vec![0], false).unwrap();
         t.insert(row(1, "a"));
         t.verify_index_consistency().unwrap();
         // Sabotage the index directly: the checker must notice.

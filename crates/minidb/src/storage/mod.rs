@@ -1,7 +1,7 @@
 //! Storage layer: in-memory tables behind a pluggable durability engine.
 //!
-//! The row/index substrate lives in [`mem`] (slotted rows, ordered + hash
-//! secondary indexes). On top of it sits the [`StorageEngine`] trait — the
+//! The row/index substrate lives in [`mem`] (slotted rows and sharded
+//! secondary indexes, copy-on-write per page and shard via [`paged`]). On top of it sits the [`StorageEngine`] trait — the
 //! seam between the transactional facade (`db.rs`) and durability:
 //!
 //! * [`VolatileEngine`] (the default) persists nothing. Every existing test
@@ -19,10 +19,12 @@
 //! by dropping it (never panicking).
 
 pub mod mem;
+pub mod paged;
 pub mod snapshot;
 pub mod wal;
 
-pub use mem::{canonical_key, DataMap, HashedKey, IndexData, IndexKind, RowId, TableData};
+pub use mem::{canonical_key, DataMap, HashedKey, IndexData, RowId, TableData};
+pub use paged::PagedVec;
 pub use wal::{DurableEngine, FsyncPolicy, WalRecord};
 
 use crate::error::DbResult;

@@ -915,7 +915,7 @@ pub(crate) fn rebuild_table(
     crate::exec::build_auto_indexes(schema, &mut data)?;
     for def in &schema.indexes {
         let positions = schema.resolve_columns(&def.columns)?;
-        data.build_index_kind(&def.name, positions, def.unique, def.kind())
+        data.build_index(&def.name, positions, def.unique)
             .map_err(DbError::Storage)?;
     }
     data.set_free_list(slot_count, free);
@@ -966,7 +966,7 @@ pub(crate) fn apply_record(
             crate::exec::build_auto_indexes(&schema, &mut data)?;
             for def in &schema.indexes {
                 let positions = schema.resolve_columns(&def.columns)?;
-                data.build_index_kind(&def.name, positions, def.unique, def.kind())
+                data.build_index(&def.name, positions, def.unique)
                     .map_err(DbError::Storage)?;
             }
             let name = schema.name.clone();
@@ -998,7 +998,7 @@ pub(crate) fn apply_record(
             let data = state.data.get_mut(&table).ok_or_else(|| {
                 DbError::Storage(format!("redo index on unknown table \"{table}\""))
             })?;
-            data.build_index_kind(&def.name, positions, def.unique, def.kind())
+            data.build_index(&def.name, positions, def.unique)
                 .map_err(DbError::Storage)?;
             let schema = state.catalog.table_mut(&table)?;
             if !schema.indexes.iter().any(|i| i.name == def.name) {
